@@ -168,7 +168,7 @@ func replayCompare(d *dataset.Dataset, rset, cset *replay.Set, robust, centered 
 		}
 		rtokens, ctokens := rset.Tokens(ord), cset.Tokens(ord)
 		loginRobustOK, loginCenteredOK := true, true
-		orig := d.PasswordByID(l.PasswordID)
+		orig := &d.Passwords[ord] // Compile gives d.Passwords[i] ordinal i
 		for j := range l.Clicks {
 			pt := l.Clicks[j].Point()
 			rOK := core.Accepts(robust, rtokens[j], pt)

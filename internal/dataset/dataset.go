@@ -79,7 +79,10 @@ type Dataset struct {
 // Size returns the image extent.
 func (d *Dataset) Size() geom.Size { return geom.Size{W: d.Width, H: d.Height} }
 
-// PasswordByID returns the password with the given ID, or nil.
+// PasswordByID returns the password with the given ID, or nil. It is a
+// linear scan over Passwords, meant for tests and one-off lookups; a
+// loop over logins should compile a replay.Set and index Passwords by
+// its Ordinal instead.
 func (d *Dataset) PasswordByID(id int) *Password {
 	for i := range d.Passwords {
 		if d.Passwords[i].ID == id {

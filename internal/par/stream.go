@@ -6,10 +6,12 @@ import (
 )
 
 // Stream runs n tasks on a bounded worker pool and delivers their
-// results to emit strictly in index order, holding at most O(workers)
+// results to emit strictly in index order, holding at most 2·workers
 // results in memory at any moment. It is the streaming counterpart of
 // Map for outputs too large to materialize: a 10M-element run keeps a
-// fixed-size reorder window alive instead of an n-element slice.
+// fixed-size reorder window alive instead of an n-element slice. A
+// caller whose tasks are cheap should make each task a block of
+// items, so the claim and handoff cost is paid once per block.
 //
 // prepare(i) runs serially, in strict index order, at claim time — one
 // call at a time under the pool's claim lock. It exists so a caller

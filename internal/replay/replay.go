@@ -135,7 +135,11 @@ func (s *Set) Tokens(i int) []core.Token {
 	return s.tokens[s.offs[i]:s.offs[i+1]]
 }
 
-// Ordinal maps a dataset password ID to its index in the Set.
+// Ordinal maps a dataset password ID to its index in the Set. For a
+// Set compiled from d, the ordinal of an ID is the index of that
+// password in d.Passwords, whatever the IDs' base or order, so
+// &d.Passwords[ord] is the password itself: replay loops use that in
+// place of a search by ID.
 func (s *Set) Ordinal(id int) (int, bool) {
 	i, ok := s.byID[id]
 	return int(i), ok

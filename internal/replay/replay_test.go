@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -72,31 +73,56 @@ func TestSetMatchesDirectReplay(t *testing.T) {
 	}
 }
 
+// shuffledCohort is a pool cohort with its passwords in a fixed random
+// order: IDs start at 10000 and are not sorted, so neither equals the
+// password's index.
+func shuffledCohort(t testing.TB) *dataset.Dataset {
+	t.Helper()
+	d, err := study.RunCohort(study.DefaultCohort(imagegen.Pool(), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(d.Passwords), func(i, j int) {
+		d.Passwords[i], d.Passwords[j] = d.Passwords[j], d.Passwords[i]
+	})
+	return d
+}
+
 // TestSetTokensMatchEnrollment: the flattened storage must hand back
 // exactly the tokens a per-password enrollment produces, keyed both by
-// ordinal and by dataset ID.
+// ordinal and by dataset ID. The ordinal of an ID must be its index in
+// d.Passwords even when IDs are offset and unsorted, because replay
+// loops read the original password as &d.Passwords[ord].
 func TestSetTokensMatchEnrollment(t *testing.T) {
-	d := fieldDataset(t)
 	scheme := newScheme(t, func() (core.Scheme, error) { return core.NewCentered(19) })
-	set := replay.Compile(d, scheme)
-	for i := range d.Passwords {
-		p := &d.Passwords[i]
-		ord, ok := set.Ordinal(p.ID)
-		if !ok || ord != i {
-			t.Fatalf("Ordinal(%d) = %d, %v, want %d, true", p.ID, ord, ok, i)
-		}
-		tokens := set.Tokens(i)
-		if len(tokens) != len(p.Clicks) {
-			t.Fatalf("password %d: %d tokens, want %d", p.ID, len(tokens), len(p.Clicks))
-		}
-		for j := range tokens {
-			if tokens[j] != scheme.Enroll(p.Clicks[j].Point()) {
-				t.Fatalf("password %d click %d: token mismatch", p.ID, j)
+	for _, d := range []*dataset.Dataset{fieldDataset(t), shuffledCohort(t)} {
+		set := replay.Compile(d, scheme)
+		for i := range d.Passwords {
+			p := &d.Passwords[i]
+			ord, ok := set.Ordinal(p.ID)
+			if !ok || ord != i {
+				t.Fatalf("%s: Ordinal(%d) = %d, %v, want %d, true", d.Image, p.ID, ord, ok, i)
+			}
+			tokens := set.Tokens(i)
+			if len(tokens) != len(p.Clicks) {
+				t.Fatalf("password %d: %d tokens, want %d", p.ID, len(tokens), len(p.Clicks))
+			}
+			for j := range tokens {
+				if tokens[j] != scheme.Enroll(p.Clicks[j].Point()) {
+					t.Fatalf("password %d click %d: token mismatch", p.ID, j)
+				}
 			}
 		}
-	}
-	if _, err := set.AcceptsID(-99, nil); err == nil {
-		t.Error("AcceptsID accepted an unknown password ID")
+		for i := range d.Logins {
+			l := &d.Logins[i]
+			ord, ok := set.Ordinal(l.PasswordID)
+			if !ok || d.Passwords[ord].ID != l.PasswordID {
+				t.Fatalf("%s login %d: Ordinal(%d) = %d, %v, which is not its password", d.Image, i, l.PasswordID, ord, ok)
+			}
+		}
+		if _, err := set.AcceptsID(-99, nil); err == nil {
+			t.Error("AcceptsID accepted an unknown password ID")
+		}
 	}
 }
 

@@ -114,11 +114,11 @@ func (c CohortConfig) Validate() error {
 
 // RunCohort simulates the cohort for one image. Participants are
 // independent: each draws from its own rng stream (split off the seed
-// serially, in participant order — the study.Run pattern) and
-// generates its passwords and logins as one task on the worker pool,
-// so the cohort is byte-identical for a fixed seed at any worker
-// count. Password IDs are assigned serially in participant order,
-// because a participant's password count is random and IDs must stay
+// serially, in participant order — the study.Run pattern), and the
+// worker pool generates them in blocks of 64 consecutive participants,
+// so the cohort is byte-identical for a fixed seed at any worker count.
+// Password IDs are assigned serially in participant order, because a
+// participant's password count is random and IDs must stay
 // sequential from FirstPasswordID. RunCohort is the materializing
 // shell over RunCohortStream — the golden tests pin the two paths to
 // the same bytes by construction.

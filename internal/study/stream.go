@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"clickpass/internal/dataset"
+	"clickpass/internal/geom"
 	"clickpass/internal/par"
 	"clickpass/internal/rng"
 )
@@ -25,48 +26,51 @@ type Participant struct {
 	Logins []dataset.Login
 }
 
+// genBlock is how many consecutive items (passwords or participants)
+// one par.Stream task generates. An item is only ~5-30 µs of work, so
+// one task per item spends much of its time in the pool's claim and
+// handoff; a block of 64 amortizes that while keeping the reorder
+// window small.
+const genBlock = 64
+
 // Stream is the streaming form of Run: it generates the same study —
 // byte-identical passwords and logins, in the same order — but hands
 // each password and its logins to emit instead of materializing a
-// dataset.Dataset, holding only O(workers) blocks in memory. Each
-// password draws from its own rng stream split off the seed in
-// password order (par.Stream's serial prepare hook reproduces Run's
-// split-before-fan-out sequence exactly), so Stream and Run agree for
+// dataset.Dataset, holding at most 2·workers blocks of genBlock (64)
+// passwords in memory. Each password draws from its own rng stream
+// split off the seed in password order, so Stream and Run agree for
 // any worker count. An error from emit stops generation and is
-// returned.
+// returned; no later password is emitted.
 func Stream(cfg Config, emit func(pw dataset.Password, logins []dataset.Login) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	base := rng.New(cfg.Seed)
-	type block struct {
+	type item struct {
 		pw     dataset.Password
 		logins []dataset.Login
 	}
-	return par.Stream(cfg.Workers, cfg.Passwords,
-		func(i int) func() (block, error) {
-			r := base.Split() // serial, in password order: Run's stream sequence
-			return func() (block, error) {
-				pw, logins := genPassword(r, cfg, i)
-				return block{pw: pw, logins: logins}, nil
-			}
+	return streamBlocks(cfg.Workers, cfg.Passwords, cfg.Seed,
+		func(r *rng.Source, i int) item {
+			pw, logins := genPassword(r, cfg, i)
+			return item{pw: pw, logins: logins}
 		},
-		func(_ int, b block) error { return emit(b.pw, b.logins) })
+		func(it item) error { return emit(it.pw, it.logins) })
 }
 
 // RunCohortStream is the streaming form of RunCohort: the same cohort
 // — byte-identical passwords and logins, in the same participant
 // order, with the same sequential password IDs — delivered one
-// Participant at a time in O(workers) memory. A 10M-user cohort
-// streams through a fixed-size reorder window instead of a
-// multi-gigabyte dataset. ID renumbering happens serially in the
-// ordered emit path, exactly where RunCohort does it after its
-// fan-out. An error from emit stops generation and is returned.
+// Participant at a time while holding at most 2·workers blocks of
+// genBlock (64) participants in memory. A 10M-user cohort streams
+// through a fixed-size reorder window instead of a multi-gigabyte
+// dataset. ID renumbering happens serially in the ordered emit path,
+// exactly where RunCohort does it after its fan-out. An error from
+// emit stops generation and is returned; no later participant is
+// emitted.
 func RunCohortStream(cfg CohortConfig, emit func(p Participant) error) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	base := rng.New(cfg.Seed)
 	pwCfg := Config{
 		Image:         cfg.Image,
 		Passwords:     1,
@@ -75,14 +79,9 @@ func RunCohortStream(cfg CohortConfig, emit func(p Participant) error) error {
 		Error:         cfg.Error,
 	}
 	nextID := cfg.FirstPasswordID
-	return par.Stream(cfg.Workers, cfg.Participants,
-		func(p int) func() (Participant, error) {
-			r := base.Split() // serial, in participant order: RunCohort's stream sequence
-			return func() (Participant, error) {
-				return genParticipant(r, cfg, pwCfg, p), nil
-			}
-		},
-		func(_ int, blk Participant) error {
+	return streamBlocks(cfg.Workers, cfg.Participants, cfg.Seed,
+		func(r *rng.Source, p int) Participant { return genParticipant(r, cfg, pwCfg, p) },
+		func(blk Participant) error {
 			// Participant password counts are random, so IDs can only be
 			// assigned here, on the serial in-order path.
 			for i := range blk.Passwords {
@@ -93,6 +92,40 @@ func RunCohortStream(cfg CohortConfig, emit func(p Participant) error) error {
 			}
 			nextID += len(blk.Passwords)
 			return emit(blk)
+		})
+}
+
+// streamBlocks generates n items on par.Stream in tasks of genBlock
+// consecutive items and emits them one at a time in index order,
+// stopping at the first emit error. Item i draws from the i-th stream
+// split off rng.New(seed); the splits run in par.Stream's serial
+// prepare hook, in index order, so the output does not depend on the
+// worker count.
+func streamBlocks[T any](workers, n int, seed uint64, gen func(r *rng.Source, i int) T, emit func(v T) error) error {
+	base := rng.New(seed)
+	blocks := (n + genBlock - 1) / genBlock
+	return par.Stream(workers, blocks,
+		func(b int) func() ([]T, error) {
+			lo := b * genBlock
+			rs := make([]*rng.Source, min(genBlock, n-lo))
+			for k := range rs {
+				rs[k] = base.Split()
+			}
+			return func() ([]T, error) {
+				out := make([]T, len(rs))
+				for k, r := range rs {
+					out[k] = gen(r, lo+k)
+				}
+				return out, nil
+			}
+		},
+		func(_ int, vs []T) error {
+			for _, v := range vs {
+				if err := emit(v); err != nil {
+					return err
+				}
+			}
+			return nil
 		})
 }
 
@@ -108,12 +141,14 @@ func genPassword(r *rng.Source, cfg Config, i int) (dataset.Password, []dataset.
 		User:  fmt.Sprintf("%s-p%03d", cfg.Image.Name, i),
 		Image: cfg.Image.Name,
 	}
-	for _, p := range clicks {
-		pw.Clicks = append(pw.Clicks, dataset.FromPoint(p))
-	}
+	pw.Clicks = toClicks(clicks)
 	var logins []dataset.Login
+	// One slab holds every login's clicks; each login gets a full
+	// slice expression so an append cannot reach its neighbour's.
+	n := len(clicks)
+	slab := make([]dataset.Click, n*cfg.LoginsPerPassword)
 	for a := 0; a < cfg.LoginsPerPassword; a++ {
-		login := dataset.Login{PasswordID: id, Attempt: a}
+		login := dataset.Login{PasswordID: id, Attempt: a, Clicks: slab[a*n : a*n : (a+1)*n]}
 		for _, p := range clicks {
 			login.Clicks = append(login.Clicks, dataset.FromPoint(cfg.Error.perturb(r, p, size)))
 		}
@@ -145,15 +180,15 @@ func genParticipant(r *rng.Source, cfg CohortConfig, pwCfg Config, p int) Partic
 			User:  fmt.Sprintf("%s-c%03d", cfg.Image.Name, p),
 			Image: cfg.Image.Name,
 		}
-		for _, pt := range clicksPts {
-			pw.Clicks = append(pw.Clicks, dataset.FromPoint(pt))
-		}
+		pw.Clicks = toClicks(clicksPts)
 		blk.Passwords = append(blk.Passwords, pw)
 		nLogins := sampleCount(r, cfg.LoginsPerPassword)
+		n := len(clicksPts)
+		slab := make([]dataset.Click, n*nLogins) // one allocation, cut as in genPassword
 		errScale := skill
 		for a := 0; a < nLogins; a++ {
 			model := cfg.Error.scaled(errScale)
-			login := dataset.Login{PasswordID: k, Attempt: a}
+			login := dataset.Login{PasswordID: k, Attempt: a, Clicks: slab[a*n : a*n : (a+1)*n]}
 			for _, pt := range clicksPts {
 				login.Clicks = append(login.Clicks, dataset.FromPoint(model.perturb(r, pt, size)))
 			}
@@ -167,4 +202,14 @@ func genParticipant(r *rng.Source, cfg CohortConfig, pwCfg Config, p int) Partic
 		}
 	}
 	return blk
+}
+
+// toClicks converts a password's points to dataset clicks in one
+// allocation.
+func toClicks(pts []geom.Point) []dataset.Click {
+	out := make([]dataset.Click, len(pts))
+	for i, p := range pts {
+		out[i] = dataset.FromPoint(p)
+	}
+	return out
 }
