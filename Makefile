@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-store bench-session bench-redteam bench-diff loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke docs-lint cover ci
+.PHONY: all build test vet race bench bench-json bench-store bench-session bench-redteam bench-diff fuzz-smoke loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke docs-lint cover ci
 
 all: build vet test
 
@@ -42,12 +42,19 @@ bench-store:
 	$(GO) run ./cmd/pwbench -store -out .
 
 # loadsmoke is the CI server-load smoke: small client swarms against
-# both vault backends over BOTH transports (framed TCP and HTTP/JSON),
+# the memory and durable stores over BOTH transports (framed TCP and HTTP/JSON),
 # plus the shared-limiter check that combined TCP+HTTP in-flight
 # requests stay capped at -maxconns (see PERFORMANCE.md "Server load"
 # and "Unified serving layer").
 loadsmoke:
 	$(GO) test ./internal/loadtest -run TestLoad -short -v
+
+# fuzz-smoke runs the vault-file fuzzer past its seed corpus for 20s:
+# arbitrary bytes must never panic the loaders, and the sharded store
+# and the durable store's JSON import must accept exactly the same
+# files.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 20s ./internal/vault
 
 # storm-smoke is the CI overload drill: a 10x login storm against a
 # small-capacity HTTP front. The bounded-queue admission policy must
@@ -137,4 +144,4 @@ docs-lint:
 cover:
 	$(GO) test -cover ./...
 
-ci: build docs-lint test race loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke
+ci: build docs-lint test race fuzz-smoke loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke

@@ -73,7 +73,6 @@ func storeBackends(dir string) []storeBackend {
 		}
 	}
 	return []storeBackend{
-		{"vault", func() (vault.Store, func(), error) { return vault.New(), func() {}, nil }, nil},
 		{"sharded32", func() (vault.Store, func(), error) { return vault.NewSharded(32), func() {}, nil }, nil},
 		{"durable-always", durable(vault.SyncAlways, 0), durable(vault.SyncAlways, 1)},
 		{"durable-interval", durable(vault.SyncInterval, 0), durable(vault.SyncInterval, 1)},

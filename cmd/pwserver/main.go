@@ -20,13 +20,11 @@
 //
 // -backend selects storage (see README.md for the migration recipe):
 //
-//	memory   single-lock vault over a JSON snapshot at -vault
-//	sharded  -shards-way partitioned store, same JSON file
+//	memory   (default) -shards-way partitioned in-memory store loaded
+//	         from the JSON snapshot at -vault
 //	durable  crash-safe append-log store; -vault names a directory,
 //	         -fsync/-compact-ratio tune it, and every enroll, change,
 //	         delete, and lockout write survives a kill -9
-//	auto     (default) memory, or sharded when -shards > 0 — the
-//	         pre-durable flag behavior, kept for compatibility
 //
 // The stateless session tier is on by default: a successful login
 // response carries a signed expiring token, and POST /v1/validate (or
@@ -91,8 +89,8 @@ func main() {
 		iter        = flag.Int("iterations", 1000, "hash iterations")
 		lockout     = flag.Int("lockout", authproto.DefaultLockout, "failed attempts before lockout")
 		useTLS      = flag.Bool("tls", false, "wrap the TCP listener in TLS with an ephemeral self-signed certificate")
-		backendArg  = flag.String("backend", "auto", "storage backend: memory, sharded, durable, or auto (-shards decides)")
-		shards      = flag.Int("shards", 0, "vault shard count (0 = backend default; with -backend auto, >0 selects the sharded store)")
+		backendArg  = flag.String("backend", "memory", "storage backend: memory (JSON snapshot) or durable (append log)")
+		shards      = flag.Int("shards", 0, "vault shard count (0 = backend default)")
 		fsyncArg    = flag.String("fsync", "always", "durable backend sync policy: always, interval, or never")
 		compactAt   = flag.Float64("compact-ratio", vault.DefaultCompactRatio, "durable backend: rewrite a shard log when garbage exceeds ratio x live records")
 		ckptEvery   = flag.Duration("checkpoint-every", 0, "durable backend: periodic per-shard checkpoint+log-rotation interval bounding startup replay (0 = off)")
@@ -202,7 +200,7 @@ func main() {
 		// The session tier persists through the replication node when
 		// there is one (role guard in front: a follower adopts keys
 		// instead of inventing them), else straight through the durable
-		// store; the in-memory backends leave it soft-state.
+		// store; the memory backend leaves it soft-state.
 		var kv session.KV
 		switch {
 		case node != nil:
@@ -351,30 +349,16 @@ func main() {
 
 // openBackend builds the selected vault.Store. It returns the store, a
 // human-readable description for the startup banner, and a close func
-// (a no-op for the snapshot backends, a log flush-and-close for the
+// (a no-op for the memory backend, a log flush-and-close for the
 // durable one).
 func openBackend(backend, path string, shards int, fsync string, compactRatio float64, ckptEvery time.Duration, ckptMin int, ckptMinBytes int64, commitWindow time.Duration, migrateFrom string) (vault.Store, string, func() error, error) {
-	noClose := func() error { return nil }
-	if backend == "auto" {
-		if shards > 0 {
-			backend = "sharded"
-		} else {
-			backend = "memory"
-		}
-	}
 	switch backend {
 	case "memory":
-		v, err := vault.Open(path)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return v, "single-lock", noClose, nil
-	case "sharded":
 		s, err := vault.OpenSharded(path, shards)
 		if err != nil {
 			return nil, "", nil, err
 		}
-		return s, fmt.Sprintf("%d-shard", s.Shards()), noClose, nil
+		return s, fmt.Sprintf("%d-shard", s.Shards()), func() error { return nil }, nil
 	case "durable":
 		policy, err := vault.ParseSyncPolicy(fsync)
 		if err != nil {
@@ -412,7 +396,7 @@ func openBackend(backend, path string, shards int, fsync string, compactRatio fl
 		}
 		return d, desc, d.Close, nil
 	default:
-		return nil, "", nil, fmt.Errorf("unknown backend %q (want memory, sharded, durable or auto)", backend)
+		return nil, "", nil, fmt.Errorf("unknown backend %q (want memory or durable)", backend)
 	}
 }
 

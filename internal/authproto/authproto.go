@@ -206,7 +206,7 @@ type Server struct {
 
 // NewServer validates the configuration and returns a server. lockout
 // <= 0 selects DefaultLockout. The store may be any vault.Store — the
-// single-lock file vault or the sharded store.
+// in-memory sharded store or the durable one.
 func NewServer(cfg passpoints.Config, v vault.Store, lockout int) (*Server, error) {
 	svc, err := authsvc.NewService(cfg, v, lockout)
 	if err != nil {

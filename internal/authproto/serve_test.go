@@ -17,31 +17,10 @@ import (
 	"clickpass/internal/vault"
 )
 
-// shardedServer is testServer backed by the sharded store instead of
-// the single-lock vault.
-func shardedServer(t *testing.T, lockout int) *Server {
-	t.Helper()
-	scheme, err := core.NewCentered(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := passpoints.Config{
-		Image:      geom.Size{W: 451, H: 331},
-		Clicks:     5,
-		Scheme:     scheme,
-		Iterations: 2,
-	}
-	s, err := NewServer(cfg, vault.NewSharded(0), lockout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestShardedStoreEndToEnd: the server must behave identically over
-// the sharded store — enroll, login, lockout — through real TCP.
+// TestShardedStoreEndToEnd: enroll, login and lockout over the
+// sharded store through real TCP.
 func TestShardedStoreEndToEnd(t *testing.T) {
-	s := shardedServer(t, 3)
+	s := testServer(t, 3)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -269,10 +248,9 @@ func TestServe256ConcurrentBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		maxConns int
-		store    vault.Store
 	}{
-		{"sharded-pool64", 64, vault.NewSharded(0)},
-		{"vault-pool256", 256, vault.New()},
+		{"sharded-pool64", 64},
+		{"sharded-pool256", 256},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scheme, err := core.NewCentered(13)
@@ -282,7 +260,8 @@ func TestServe256ConcurrentBounded(t *testing.T) {
 			cfg := passpoints.Config{
 				Image: geom.Size{W: 451, H: 331}, Clicks: 5, Scheme: scheme, Iterations: 2,
 			}
-			s, err := NewServer(cfg, tc.store, 1000)
+			store := vault.NewSharded(0)
+			s, err := NewServer(cfg, store, 1000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,7 +308,7 @@ func TestServe256ConcurrentBounded(t *testing.T) {
 			for err := range errs {
 				t.Error(err)
 			}
-			if n := tc.store.Len(); n != clients {
+			if n := store.Len(); n != clients {
 				t.Errorf("store holds %d records, want %d", n, clients)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -204,7 +204,7 @@ func TestSessionLockoutRevokes(t *testing.T) {
 // refuses OpValidate with code=invalid rather than panicking or
 // minting.
 func TestValidateWithoutSessionTier(t *testing.T) {
-	s := shardedServer(t, 3)
+	s := testServer(t, 3)
 	resp := s.Handle(Request{Op: OpValidate, Token: "whatever"})
 	if authsvc.Code(resp.Code) != authsvc.CodeInvalid {
 		t.Fatalf("validate without session tier: %+v", resp)

@@ -8,8 +8,29 @@ import (
 	"sync"
 	"testing"
 
+	"clickpass/internal/core"
+	"clickpass/internal/geom"
 	"clickpass/internal/passpoints"
 )
+
+func testRecord(t *testing.T, user string) *passpoints.Record {
+	t.Helper()
+	s, err := core.NewCentered(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := passpoints.Config{
+		Image: geom.Size{W: 451, H: 331}, Clicks: 5, Scheme: s, Iterations: 2,
+	}
+	rec, err := passpoints.Enroll(cfg, user, []geom.Point{
+		geom.Pt(10, 10), geom.Pt(50, 60), geom.Pt(100, 200),
+		geom.Pt(300, 30), geom.Pt(440, 320),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
 
 // storeImpl is one Store implementation under conformance test.
 // persistent marks backends whose in-memory form still has real
@@ -25,7 +46,6 @@ type storeImpl struct {
 // has to add a row here.
 func storeImpls() []storeImpl {
 	return []storeImpl{
-		{"vault", func(testing.TB) Store { return New() }, false},
 		{"sharded", func(testing.TB) Store { return NewSharded(8) }, false},
 		// Degenerate single-shard stores must still be correct.
 		{"sharded1", func(testing.TB) Store { return NewSharded(1) }, false},
@@ -132,8 +152,9 @@ func TestStoreInMemorySaveFails(t *testing.T) {
 	}
 }
 
-// TestShardedFileInterop: the two backends share one on-disk format —
-// a file saved by either must load into the other byte-identically.
+// TestShardedFileInterop: the shard count is not part of the on-disk
+// format — a file saved at one shard count must load at another and
+// save back byte-identically.
 func TestShardedFileInterop(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vault.json")
@@ -154,15 +175,7 @@ func TestShardedFileInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sharded -> Vault.
-	v, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 20 {
-		t.Fatalf("vault loaded %d records, want 20", v.Len())
-	}
-	// Vault -> Sharded with a different shard count.
+	// Reload with a different shard count.
 	back, err := OpenSharded(path, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -193,17 +206,40 @@ func TestShardedFileInterop(t *testing.T) {
 	}
 }
 
-// TestOpenShardedRejectsCorruptFiles mirrors the vault corruption
-// table for the sharded loader (same parser, but the wiring could
-// regress independently).
+// TestOpenRejectsCorruptFiles: the shared loader every Store opens
+// files through must refuse each file the format rejects by contract.
+func TestOpenRejectsCorruptFiles(t *testing.T) {
+	dir := t.TempDir()
+	cases := map[string]string{
+		"garbage":    "not json at all",
+		"no user":    `[{"kind":"centered","square_side_px":13}]`,
+		"dup user":   `[{"user":"a","square_side_px":13},{"user":"a","square_side_px":13}]`,
+		"wrong type": `{"user":"a"}`,
+	}
+	for name, content := range cases {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(content), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadRecords(path); err == nil {
+			t.Errorf("%s: loadRecords accepted corrupt file", name)
+		}
+	}
+}
+
+// TestOpenShardedRejectsCorruptFiles: every file the format rejects
+// by contract must fail to load through OpenSharded, not load as a
+// partial store (same parser, but the wiring could regress
+// independently).
 func TestOpenShardedRejectsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
-		"garbage":   "not json at all",
-		"no user":   `[{"kind":"centered","square_side_px":13}]`,
-		"dup user":  `[{"user":"a","square_side_px":13},{"user":"a","square_side_px":13}]`,
-		"null rec":  `[null]`,
-		"truncated": `[{"user":"a","square_side_px":13}`,
+		"garbage":    "not json at all",
+		"no user":    `[{"kind":"centered","square_side_px":13}]`,
+		"dup user":   `[{"user":"a","square_side_px":13},{"user":"a","square_side_px":13}]`,
+		"null rec":   `[null]`,
+		"truncated":  `[{"user":"a","square_side_px":13}`,
+		"wrong type": `{"user":"a"}`,
 	}
 	for name, content := range cases {
 		path := filepath.Join(dir, name+".json")
@@ -241,7 +277,7 @@ func TestShardedDistribution(t *testing.T) {
 }
 
 // TestShardedSnapshotCompact: Snapshot returns every record (order
-// unspecified) and Compact rewrites the backing file canonically.
+// unspecified) and Save rewrites the backing file canonically.
 func TestShardedSnapshotCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vault.json")
 	s, err := OpenSharded(path, 4)
@@ -264,19 +300,46 @@ func TestShardedSnapshotCompact(t *testing.T) {
 	if !seen["a"] || !seen["b"] || !seen["c"] {
 		t.Errorf("Snapshot missing users: %v", seen)
 	}
-	if err := s.Compact(); err != nil {
+	if err := s.Save(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Open(path)
+	back, err := OpenSharded(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != 3 {
-		t.Errorf("compacted file has %d records, want 3", back.Len())
+		t.Errorf("saved file has %d records, want 3", back.Len())
 	}
-	// Compact on an in-memory store fails like Save.
-	if err := NewSharded(2).Compact(); err == nil {
-		t.Error("Compact on in-memory store should fail")
+}
+
+// TestSaveToIsAtomicOnOverwrite: overwriting a snapshot goes through
+// a temp file and a rename, so a reopen sees one complete state (here
+// the final one) and no temp file is left behind.
+func TestSaveToIsAtomicOnOverwrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "vault.json")
+	s := NewSharded(4)
+	for _, u := range []string{"dave", "erin"} {
+		if err := s.Put(testRecord(t, u)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveTo(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	back, err := OpenSharded(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != 2 {
+		t.Errorf("reopened store has %d records, want 2", back.Len())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory has %d entries, want 1 (temp files leaked)", len(entries))
 	}
 }
 
@@ -344,7 +407,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if _, err := Open(filepath.Join(dir, e.Name())); err != nil {
+		if _, err := loadRecords(filepath.Join(dir, e.Name())); err != nil {
 			t.Errorf("stress snapshot %s unreadable: %v", e.Name(), err)
 		}
 	}

@@ -4,13 +4,12 @@ import "clickpass/internal/passpoints"
 
 // Store is the narrow interface the authentication server and tools
 // program against: a keyed collection of PassPoints records with an
-// atomic snapshot-to-disk operation. Three implementations ship with
-// the package — the single-lock file-backed Vault, the fnv-keyed
-// Sharded store whose reads scale with cores, and the crash-safe
-// Durable store that logs every mutation to a per-shard append-only
-// file — and the contract is enforced by a shared conformance test
-// (storeImpls in sharded_test.go) rather than by each caller's
-// assumptions.
+// atomic snapshot-to-disk operation. Two implementations ship with
+// the package — the in-memory, fnv-keyed Sharded store whose reads
+// scale with cores, and the crash-safe Durable store that logs every
+// mutation to a per-shard append-only file — and the contract is
+// enforced by a shared conformance test (storeImpls in
+// sharded_test.go) rather than by each caller's assumptions.
 //
 // All implementations must be safe for concurrent use. Get returns
 // ErrNotFound for missing users; Put returns ErrExists for duplicates;
@@ -77,7 +76,6 @@ type KVStore interface {
 
 // All implementations must satisfy the interface.
 var (
-	_ Store   = (*Vault)(nil)
 	_ Store   = (*Sharded)(nil)
 	_ KVStore = (*Durable)(nil)
 )

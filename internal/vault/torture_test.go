@@ -306,13 +306,13 @@ func TestTortureCorruptTail(t *testing.T) {
 
 // TestTortureRecoveredStoreAgreesWithMemory reruns the full op script
 // (no tear) against both the replayed durable store and the in-memory
-// Vault and demands byte-identical Get results — the "zero false
+// Sharded store and demands byte-identical Get results — the "zero false
 // accepts/rejects vs the in-memory backend" acceptance criterion.
 func TestTortureRecoveredStoreAgreesWithMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	src := t.TempDir()
 	ops := runTortureScript(t, src, 4, 300, rng)
-	mem := New()
+	mem := NewSharded(0)
 	for _, op := range ops {
 		switch op.kind {
 		case "put":

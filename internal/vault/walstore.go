@@ -193,7 +193,7 @@ type DurableOptions struct {
 // checkpoint file and truncates the log to the tail appended since —
 // bounding startup replay by the checkpoint cadence instead of the
 // store's age. SaveTo still exports the canonical JSON snapshot
-// shared by Vault and Sharded, and ImportJSON loads one, so a
+// Sharded reads and writes, and ImportJSON loads one, so a
 // deployment can migrate between backends in either direction.
 type Durable struct {
 	dir    string
@@ -1222,10 +1222,10 @@ func (d *Durable) SaveTo(path string) error {
 	return writeRecords(path, d.All())
 }
 
-// ImportJSON loads a JSON snapshot (the Vault/Sharded on-disk format)
-// into an empty durable store, appending every record to its shard
-// log — the in-place migration path for a deployment moving off the
-// snapshot backends. It refuses to import over existing records.
+// ImportJSON loads a JSON snapshot (the Sharded on-disk format) into
+// an empty durable store, appending every record to its shard log —
+// the in-place migration path for a deployment moving off the memory
+// backend. It refuses to import over existing records.
 // Records are appended unsynced and flushed once per shard at the
 // end: per-record durability buys nothing here (a failed import is
 // retried from the snapshot anyway), and one fsync per shard instead

@@ -72,7 +72,7 @@ func TestDurableReopen(t *testing.T) {
 }
 
 // TestDurableJSONInterop: SaveTo must emit the canonical snapshot the
-// other backends read, and ImportJSON must load one — byte-identical
+// sharded store reads, and ImportJSON must load one — byte-identical
 // round trips in both directions.
 func TestDurableJSONInterop(t *testing.T) {
 	dir := t.TempDir()
@@ -86,12 +86,12 @@ func TestDurableJSONInterop(t *testing.T) {
 	if err := d.SaveTo(snap); err != nil {
 		t.Fatal(err)
 	}
-	v, err := Open(snap)
+	v, err := OpenSharded(snap, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Len() != 12 {
-		t.Fatalf("vault read %d records from durable snapshot, want 12", v.Len())
+		t.Fatalf("sharded store read %d records from durable snapshot, want 12", v.Len())
 	}
 
 	// JSON -> durable (the pwserver migration path), and back out:
