@@ -52,9 +52,12 @@ loadsmoke:
 # fuzz-smoke runs the vault-file fuzzer past its seed corpus for 20s:
 # arbitrary bytes must never panic the loaders, and the sharded store
 # and the durable store's JSON import must accept exactly the same
-# files.
+# files. Then 10s of the hash-chain fuzzer: for any salt, message and
+# short chain, both compress paths must equal the crypto/hmac
+# reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 20s ./internal/vault
+	$(GO) test -run '^$$' -fuzz '^FuzzDigest$$' -fuzztime 10s ./internal/passhash
 
 # storm-smoke is the CI overload drill: a 10x login storm against a
 # small-capacity HTTP front. The bounded-queue admission policy must

@@ -362,8 +362,9 @@ func BenchmarkDigest(b *testing.B) {
 	}
 }
 
-// BenchmarkDigestOneShot measures the unbatched Digest path (fresh
-// HMAC and buffers per call) for comparison with BenchmarkDigest.
+// BenchmarkDigestOneShot measures the unbatched Digest path (a fresh
+// Hasher per call: the salt's two HMAC pad blocks recompressed and the
+// buffers reallocated) for comparison with BenchmarkDigest.
 func BenchmarkDigestOneShot(b *testing.B) {
 	params := passhash.Params{Iterations: 1000, Salt: []byte("0123456789abcdef")}
 	scheme, err := core.NewCentered(13)

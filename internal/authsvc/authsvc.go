@@ -434,6 +434,12 @@ func (s *Service) login(ctx context.Context, req Request) Response {
 		return Response{Version: Version, Code: CodeInternal, Err: "storage error"}
 	}
 	ok, err := passpoints.Verify(s.cfg, rec, clicksToPoints(req.Clicks))
+	if errors.Is(err, passpoints.ErrBadRecord) {
+		// A stored record that cannot verify anything is a storage
+		// fault too: counting it would answer every correct login
+		// "wrong password" until the account locks.
+		return Response{Version: Version, Code: CodeInternal, Err: "storage error"}
+	}
 	if err != nil || !ok {
 		return s.fail(req.User)
 	}

@@ -95,6 +95,54 @@ func TestServiceChange(t *testing.T) {
 	}
 }
 
+// TestCorruptRecordKeepsLockoutBudget: a stored record whose hash
+// parameters are corrupt (as a damaged vault file or log could hand
+// back) is a storage fault. Correct logins against it must answer
+// CodeInternal every time without spending the lockout budget, so the
+// account is intact once the record is repaired.
+func TestCorruptRecordKeepsLockoutBudget(t *testing.T) {
+	const lockout = 10
+	corruptions := map[string]func(*passpoints.Record){
+		"zero iterations": func(r *passpoints.Record) { r.Iterations = 0 },
+		"empty salt":      func(r *passpoints.Record) { r.Salt = nil },
+		"short digest":    func(r *passpoints.Record) { r.Digest = r.Digest[:31] },
+	}
+	for name, corrupt := range corruptions {
+		store := vault.NewSharded(0)
+		svc, err := NewService(testConfig(t, 2), store, lockout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if resp := svc.Handle(ctx, Request{Op: OpEnroll, User: "u", Clicks: clicks(0)}); !resp.OK() {
+			t.Fatalf("%s: enroll: %+v", name, resp)
+		}
+		good, err := store.Get("u")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := *good
+		corrupt(&bad)
+		if err := store.Replace(&bad); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < lockout+1; i++ {
+			if resp := svc.Handle(ctx, Request{Op: OpLogin, User: "u", Clicks: clicks(0)}); resp.Code != CodeInternal {
+				t.Fatalf("%s: login %d: %+v, want %s", name, i, resp, CodeInternal)
+			}
+		}
+		if n := svc.failures["u"]; n != 0 {
+			t.Errorf("%s: %d lockout attempts spent on a corrupt record", name, n)
+		}
+		if err := store.Replace(good); err != nil {
+			t.Fatal(err)
+		}
+		if resp := svc.Handle(ctx, Request{Op: OpLogin, User: "u", Clicks: clicks(9)}); resp.Code != CodeDenied || resp.Remaining != lockout-1 {
+			t.Errorf("%s: wrong login after repair: %+v, want %s with %d remaining", name, resp, CodeDenied, lockout-1)
+		}
+	}
+}
+
 // TestUnknownUserIndistinguishable is the user-enumeration pin: an
 // unknown user and a wrong password must produce byte-identical
 // response bodies (same code, same error, same remaining budget) at

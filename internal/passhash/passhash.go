@@ -11,17 +11,18 @@
 package passhash
 
 import (
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"math"
 
 	"clickpass/internal/core"
 )
+
+// Size is the length of a verifier in bytes.
+const Size = sha256.Size
 
 // SaltLen is the per-user salt length in bytes.
 const SaltLen = 16
@@ -87,46 +88,145 @@ func AppendTokens(dst []byte, tokens []core.Token) []byte {
 	return dst
 }
 
+// encodedLen is the length of the canonical encoding of n tokens: a
+// 2-byte count, then 33 bytes per click-point.
+func encodedLen(n int) int {
+	return 2 + n*(8+8+1+8+8)
+}
+
 // EncodeTokens returns the canonical byte encoding in a fresh buffer.
 func EncodeTokens(tokens []core.Token) []byte {
-	return AppendTokens(make([]byte, 0, len(tokens)*(8+8+1+8+8)+2), tokens)
+	return AppendTokens(make([]byte, 0, encodedLen(len(tokens))), tokens)
 }
 
-// Hasher computes verifiers for one Params in bulk, amortizing the
-// allocations Digest pays per call (a fresh HMAC instance and encode
-// buffer): verify loops and offline attack engines hash millions of
-// candidates under a single salt. Not safe for concurrent use; create
-// one per goroutine.
+// Hasher computes verifiers for one Params in bulk: verify loops and
+// offline attack engines hash millions of candidates under a single
+// salt. The salt's HMAC pad blocks are compressed once, at NewHasher,
+// and the encode and digest buffers are reused, so the steady state
+// is exactly two SHA-256 compressions per iteration and no
+// allocations. Not safe for concurrent use; create one per goroutine.
 type Hasher struct {
 	iterations int
-	mac        hash.Hash
-	buf        []byte // reusable canonical-encoding buffer
-	sum        []byte // reusable digest scratch for Verify
+	// pads are the SHA-256 states after the salt's ipad and opad
+	// blocks (indexed by inner and outer): every HMAC in the chain
+	// starts from one of them.
+	pads [2][8]uint32
+	// std is non-nil when this CPU lacks the SHA-NI kernel. It then
+	// holds the pads itself and every block goes through
+	// compressGeneric.
+	std *stdDigest
+	// blk is the one-block message of iterations 2..n and of every
+	// outer hash: a 32-byte digest, then fixed SHA-256 padding for a
+	// 96-byte message (one pad block plus the digest). Only the first
+	// 32 bytes are ever rewritten.
+	blk [blockSize]byte
+	buf []byte // padded canonical encoding, reused
+	sum []byte // digest scratch for Verify
 }
 
-// NewHasher validates the parameters and keys the reusable HMAC.
+// Indices of Hasher.pads.
+const (
+	inner = iota
+	outer
+)
+
+// NewHasher validates the parameters and compresses the salt's HMAC
+// pad blocks.
 func NewHasher(p Params) (*Hasher, error) {
+	return newHasher(p, useSHANI)
+}
+
+// newHasher is NewHasher with the compress path chosen by the caller;
+// kernel may be true only when useSHANI is.
+func newHasher(p Params, kernel bool) (*Hasher, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Hasher{iterations: p.Iterations, mac: hmac.New(sha256.New, p.Salt)}, nil
+	h := &Hasher{iterations: p.Iterations}
+	if !kernel {
+		h.std = newStdDigest()
+	}
+	// HMAC key block: a salt longer than a block is hashed first
+	// (RFC 2104). blk doubles as the pad scratch before it takes its
+	// fixed form.
+	if len(p.Salt) > blockSize {
+		sum := sha256.Sum256(p.Salt)
+		copy(h.blk[:], sum[:])
+	} else {
+		copy(h.blk[:], p.Salt)
+	}
+	for i := range h.blk {
+		h.blk[i] ^= 0x36
+	}
+	h.setPad(inner)
+	for i := range h.blk {
+		h.blk[i] ^= 0x36 ^ 0x5c
+	}
+	h.setPad(outer)
+	h.blk = [blockSize]byte{Size: 0x80}
+	binary.BigEndian.PutUint64(h.blk[blockSize-8:], (blockSize+Size)*8)
+	return h, nil
+}
+
+// setPad records the SHA-256 state after the pad block in blk.
+func (h *Hasher) setPad(pad int) {
+	if h.std != nil {
+		h.std.setPad(pad, h.blk[:])
+		return
+	}
+	h.pads[pad] = iv
+	compress(&h.pads[pad], h.blk[:])
+}
+
+// half runs blocks through SHA-256 from one pad state and writes the
+// resulting digest over the first 32 bytes of blk.
+func (h *Hasher) half(pad int, blocks []byte) {
+	if h.std != nil {
+		compressGeneric(h.std, pad, blocks, &h.blk)
+		return
+	}
+	st := h.pads[pad]
+	compress(&st, blocks)
+	for i, v := range st {
+		binary.BigEndian.PutUint32(h.blk[4*i:], v)
+	}
 }
 
 // DigestInto appends the verifier for tokens to dst and returns the
-// extended slice. With a dst of sufficient capacity (sha256.Size
-// beyond len(dst)) it performs no heap allocations.
+// extended slice. Once the Hasher has seen a token list this long,
+// and with a dst of sufficient capacity (Size beyond len(dst)), it
+// performs no heap allocations.
 func (h *Hasher) DigestInto(dst []byte, tokens []core.Token) []byte {
-	h.buf = AppendTokens(h.buf[:0], tokens)
-	h.mac.Reset()
-	h.mac.Write(h.buf)
-	start := len(dst)
-	dst = h.mac.Sum(dst)
-	for i := 1; i < h.iterations; i++ {
-		h.mac.Reset()
-		h.mac.Write(dst[start:])
-		dst = h.mac.Sum(dst[:start])
+	// Room for the encoding and its padding, so that a cold buffer
+	// grows once.
+	if need := encodedLen(len(tokens)) + 1 + 8 + blockSize; cap(h.buf) < need {
+		h.buf = make([]byte, 0, need)
 	}
-	return dst
+	h.buf = AppendTokens(h.buf[:0], tokens)
+	return h.chain(dst)
+}
+
+// chain appends the iterated HMAC of the message in h.buf to dst,
+// padding h.buf in place.
+func (h *Hasher) chain(dst []byte) []byte {
+	// Iteration 1's inner hash: the message continues the ipad block,
+	// so its SHA-256 padding counts 64 bytes more.
+	msg := h.buf
+	n := len(msg)
+	padded := (n + 1 + 8 + blockSize - 1) &^ (blockSize - 1)
+	msg = append(msg, make([]byte, padded-n)...)
+	msg[n] = 0x80
+	binary.BigEndian.PutUint64(msg[padded-8:], uint64(blockSize+n)*8)
+	h.buf = msg
+	h.half(inner, msg)
+	for i := 1; ; i++ {
+		h.half(outer, h.blk[:])
+		if i == h.iterations {
+			break
+		}
+		h.half(inner, h.blk[:])
+	}
+	return append(dst, h.blk[:Size]...)
 }
 
 // Verify recomputes the digest for candidate tokens and compares it to

@@ -13,6 +13,7 @@ package passpoints
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"clickpass/internal/core"
@@ -145,14 +146,28 @@ func Enroll(cfg Config, user string, clicks []geom.Point) (*Record, error) {
 	}, nil
 }
 
+// ErrBadRecord reports a stored record whose hash parameters cannot
+// verify any password: no iterations, an empty salt, or a digest of
+// the wrong length. It marks a corrupt store, not a wrong password.
+var ErrBadRecord = errors.New("passpoints: corrupt record")
+
 // Verify checks a login attempt against a stored record. It never
-// reveals which click-point failed.
+// reveals which click-point failed. A record that fails its own hash
+// parameter check yields an error wrapping ErrBadRecord, whatever the
+// clicks.
 func Verify(cfg Config, rec *Record, clicks []geom.Point) (bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return false, err
 	}
 	if rec == nil {
 		return false, fmt.Errorf("passpoints: nil record")
+	}
+	params := passhash.Params{Iterations: rec.Iterations, Salt: rec.Salt}
+	if err := params.Validate(); err != nil {
+		return false, fmt.Errorf("%w: %v", ErrBadRecord, err)
+	}
+	if len(rec.Digest) != passhash.Size {
+		return false, fmt.Errorf("%w: digest is %d bytes, want %d", ErrBadRecord, len(rec.Digest), passhash.Size)
 	}
 	if len(clicks) != len(rec.Clears) {
 		// Wrong click count is simply a failed login, not an error: the
@@ -167,7 +182,6 @@ func Verify(cfg Config, rec *Record, clicks []geom.Point) (bool, error) {
 		clear := rec.Clears[i].toCore()
 		tokens[i] = core.Token{Clear: clear, Secret: cfg.Scheme.Locate(p, clear)}
 	}
-	params := passhash.Params{Iterations: rec.Iterations, Salt: rec.Salt}
 	return passhash.Verify(params, rec.Digest, tokens)
 }
 

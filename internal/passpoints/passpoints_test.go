@@ -1,6 +1,7 @@
 package passpoints
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -236,6 +237,38 @@ func TestVerifyNilRecord(t *testing.T) {
 	if _, err := Verify(cfg, nil, fiveClicks()); err == nil ||
 		!strings.Contains(err.Error(), "nil record") {
 		t.Error("nil record should error")
+	}
+}
+
+// corruptions lists the hash-parameter faults a stored record can
+// carry; each must make Verify fail with ErrBadRecord.
+func corruptions() map[string]func(*Record) {
+	return map[string]func(*Record){
+		"zero iterations": func(r *Record) { r.Iterations = 0 },
+		"empty salt":      func(r *Record) { r.Salt = nil },
+		"short digest":    func(r *Record) { r.Digest = r.Digest[:31] },
+		"long digest":     func(r *Record) { r.Digest = append(r.Digest, 0) },
+		"no digest":       func(r *Record) { r.Digest = nil },
+	}
+}
+
+// TestVerifyBadRecord: a record whose hash parameters cannot verify
+// anything is reported as ErrBadRecord — for the right clicks, the
+// wrong ones and a wrong click count alike — never as a plain miss.
+func TestVerifyBadRecord(t *testing.T) {
+	cfg := centeredCfg(t, 13)
+	clicks := fiveClicks()
+	for name, corrupt := range corruptions() {
+		rec, err := Enroll(cfg, "alice", clicks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(rec)
+		for _, attempt := range [][]geom.Point{clicks, clicks[:4]} {
+			if ok, err := Verify(cfg, rec, attempt); ok || !errors.Is(err, ErrBadRecord) {
+				t.Errorf("%s, %d clicks: Verify = %v, %v; want ErrBadRecord", name, len(attempt), ok, err)
+			}
+		}
 	}
 }
 

@@ -98,6 +98,7 @@ type primaryState struct {
 	ackHigh []uint64 // max acked seq per shard across all followers
 	waiters []*qwaiter
 	closed  bool
+	cause   error // why close ran; what later quorum waiters get
 }
 
 // startPrimaryLocked starts the primary machinery: listener, accept
@@ -127,8 +128,13 @@ func (n *Node) startPrimaryLocked() error {
 	return nil
 }
 
-// close tears the primary machinery down, failing pending quorum
-// waiters with cause.
+// close tears the primary machinery down and detaches it from the
+// store, failing pending and later quorum waiters with cause. In
+// quorum mode the store keeps quorumWait as its gate: a write that
+// passed the role check before the teardown but commits after it must
+// fail, not ack as replica-covered with no follower holding it (with
+// the hook removed it would ack, and a promoted follower would lack
+// it).
 func (ps *primaryState) close(cause error) {
 	ps.mu.Lock()
 	if ps.closed {
@@ -136,6 +142,7 @@ func (ps *primaryState) close(cause error) {
 		return
 	}
 	ps.closed = true
+	ps.cause = cause
 	for _, w := range ps.waiters {
 		w.ch <- cause
 	}
@@ -146,6 +153,11 @@ func (ps *primaryState) close(cause error) {
 	ps.cond.Broadcast()
 	ps.mu.Unlock()
 	ps.ln.Close()
+	var hooks vault.ReplHooks
+	if ps.n.opts.Ack == AckQuorum {
+		hooks.QuorumWait = ps.quorumWait
+	}
+	ps.n.store.SetReplHooks(hooks)
 }
 
 // commit is the vault's ReplHooks.Commit sink: it labels the batch's
@@ -192,7 +204,7 @@ func (ps *primaryState) quorumWait(shard int, seq uint64) error {
 	ps.mu.Lock()
 	if ps.closed {
 		ps.mu.Unlock()
-		return errFenced
+		return ps.cause
 	}
 	if ps.ackHigh[shard] >= seq {
 		ps.mu.Unlock()

@@ -529,7 +529,6 @@ func (n *Node) fence(remoteEpoch uint64, newPrimary string) {
 	n.touch() // the staleness clock starts at the deposition
 	if ps != nil {
 		ps.close(errFenced)
-		n.store.SetReplHooks(vault.ReplHooks{})
 	}
 	n.opts.Logf("repl: fenced at epoch %d (new primary %q); refusing writes", remoteEpoch, newPrimary)
 }
@@ -554,7 +553,6 @@ func (n *Node) Close() error {
 	}
 	if ps != nil {
 		ps.close(errNodeClosed)
-		n.store.SetReplHooks(vault.ReplHooks{})
 	}
 	n.wg.Wait()
 	return nil

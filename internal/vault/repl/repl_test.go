@@ -183,6 +183,23 @@ func TestReplQuorumTimeoutWithoutFollower(t *testing.T) {
 	}
 }
 
+// TestReplQuorumGateOutlivesClose: a write that passed the primary's
+// role check before Close but reaches the store after it (the race
+// the failover torture hits) must not ack as replica-covered. The
+// store is written directly to stand in for that late writer.
+func TestReplQuorumGateOutlivesClose(t *testing.T) {
+	pst, fst := openTestStore(t), openTestStore(t)
+	p := newTestPrimary(t, pst, Options{Ack: AckQuorum, QuorumTimeout: 2 * time.Second})
+	newTestFollower(t, fst, p.ReplAddr(), Options{Redial: 10 * time.Millisecond})
+	if err := p.Put(testRecord("before")); err != nil {
+		t.Fatalf("quorum Put with a follower attached: %v", err)
+	}
+	p.Close()
+	if err := pst.Put(testRecord("late")); !errors.Is(err, errNodeClosed) {
+		t.Fatalf("write after the primary closed: err = %v, want %v", err, errNodeClosed)
+	}
+}
+
 // TestReplAsyncMode: async ack mode acks immediately and the follower
 // converges eventually.
 func TestReplAsyncMode(t *testing.T) {

@@ -26,10 +26,10 @@ type faultFile struct {
 }
 
 type faultCtl struct {
-	writeErr func() error // consulted before each Write
-	syncErr  func() error // consulted before each Sync
-	truncErr func() error // consulted before each Truncate
-	seekErr  func() error // consulted before each Seek
+	writeErr func() error  // consulted before each Write
+	syncErr  func() error  // consulted before each Sync
+	truncErr func() error  // consulted before each Truncate
+	seekErr  func() error  // consulted before each Seek
 	syncGate chan struct{} // when non-nil, Sync blocks until it closes
 	entered  atomic.Int64  // Sync calls begun (gated ones count immediately)
 	syncs    atomic.Int64  // Sync calls that reached the real file
